@@ -21,6 +21,18 @@
 //! [`encode`] never grows a record: it picks the smallest candidate the
 //! [`Compression`] mode allows and falls back to `Raw` otherwise, so the
 //! worst case over incompressible data is byte-identical to the v1 path.
+//!
+//! Incompressible pages are the expensive case, because every candidate is
+//! tried and then thrown away, so both candidates give up early. RLE stops
+//! once a 128-byte prefix averages runs under two bytes; runs that start
+//! later in the page are still caught by LZ. `minilz` widens its scan step
+//! as hash misses accumulate. Neither changes a stored format, so records
+//! written before decode as they always did.
+//!
+//! Decoding never trusts the frame's declared raw length for allocation:
+//! a flipped high bit there must surface as a corrupt record, not as a
+//! multi-GiB reservation in the scrubber. Each decoder reserves at most
+//! what its stored stream can expand to.
 
 use std::io;
 
@@ -66,8 +78,10 @@ fn rle_compress(data: &[u8]) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(data.len() / 2);
     let mut i = 0;
     while i < data.len() {
-        if out.len() + 2 >= data.len() {
-            return None; // cannot win any more
+        // Give up once RLE cannot win any more, or once a 128-byte prefix
+        // shows no runs (the output outgrew the input consumed).
+        if out.len() + 2 >= data.len() || (i >= 128 && out.len() > i) {
+            return None;
         }
         let b = data[i];
         let mut run = 1usize;
@@ -86,7 +100,7 @@ fn rle_decompress(stored: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
     if !stored.len().is_multiple_of(2) {
         return Err(corrupt("odd RLE stream length"));
     }
-    let mut out = Vec::with_capacity(raw_len);
+    let mut out = Vec::with_capacity(raw_len.min(stored.len() / 2 * 255));
     for pair in stored.chunks_exact(2) {
         let (run, b) = (pair[0] as usize, pair[1]);
         if run == 0 || out.len() + run > raw_len {
@@ -188,6 +202,34 @@ mod tests {
             decode(enc, &stored.unwrap(), data.len()).unwrap().unwrap(),
             data
         );
+    }
+
+    /// What `structured_page_picks_lz`'s corpus compressed to before
+    /// `minilz` gained skip acceleration.
+    const STRUCTURED_LZ_LEN_BEFORE_SKIP: usize = 1373;
+
+    #[test]
+    fn skip_acceleration_keeps_the_structured_ratio() {
+        let data: Vec<u8> = (0..1024u32).flat_map(|i| (i / 3).to_le_bytes()).collect();
+        let (enc, stored) = encode(&data, Compression::Auto);
+        assert_eq!(enc, Encoding::Lz);
+        let len = stored.unwrap().len();
+        assert!(
+            len <= STRUCTURED_LZ_LEN_BEFORE_SKIP,
+            "{len} > {STRUCTURED_LZ_LEN_BEFORE_SKIP} bytes"
+        );
+    }
+
+    #[test]
+    fn runs_after_a_noisy_prefix_are_left_to_lz() {
+        let mut data: Vec<u8> = (0..200u32).map(|i| ((i * 0x9E37) >> 5) as u8).collect();
+        data.resize(4096, 0x42);
+        assert!(rle_compress(&data).is_none(), "RLE gives up on the prefix");
+        let (enc, stored) = encode(&data, Compression::Auto);
+        assert_eq!(enc, Encoding::Lz);
+        let stored = stored.unwrap();
+        assert!(stored.len() < 300, "{} bytes", stored.len());
+        assert_eq!(decode(enc, &stored, data.len()).unwrap().unwrap(), data);
     }
 
     #[test]

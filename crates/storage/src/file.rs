@@ -1675,6 +1675,10 @@ pub enum SegmentRegion {
     /// A byte of the first record's stored CRC-64 field: the payload is
     /// intact but can no longer prove it.
     Crc,
+    /// The high byte of the first record's declared uncompressed length
+    /// (v2 segments only), which then claims about 4 GiB: the decoder
+    /// must report the record corrupt without reserving that much.
+    RawLen,
 }
 
 /// Flip one byte of the given `region` of `epoch`'s segment file — at-rest
@@ -1700,10 +1704,10 @@ pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> 
             let stored_len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as u64;
             match region {
                 SegmentRegion::Header => unreachable!(),
-                SegmentRegion::Encoding => {
+                SegmentRegion::Encoding | SegmentRegion::RawLen => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidInput,
-                        "v1 record frames have no encoding byte",
+                        "v1 record frames have no encoding byte or raw length",
                     ))
                 }
                 SegmentRegion::Crc => 16 + 12,
@@ -1725,6 +1729,7 @@ pub fn corrupt_segment_region(dir: &Path, epoch: u64, region: SegmentRegion) -> 
             match region {
                 SegmentRegion::Header => unreachable!(),
                 SegmentRegion::Encoding => 16 + 8,
+                SegmentRegion::RawLen => 16 + 12,
                 SegmentRegion::Crc => 16 + 17,
                 SegmentRegion::Payload { byte } => {
                     if stored_len == 0 {
